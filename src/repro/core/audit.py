@@ -66,8 +66,9 @@ __all__ = ["AuditFinding", "AuditReport", "HypersecAuditor", "LiveEvidence"]
 class LiveEvidence(Evidence):
     """The running machine as seen by Hypersec itself.
 
-    Raw access goes through the platform's backdoor (``bus.peek``), so
-    the table walk reads real descriptors, but the *topology* inputs
+    Raw access reads the platform's physical memory directly (the same
+    untimed backdoor ``bus.peek`` uses), so the table walk reads real
+    descriptors, but the *topology* inputs
     (registered tables, monitored pages, recorded registers) come from
     Hypersec's own bookkeeping.  That makes this channel fast and
     always available — and blind to bookkeeping desync, which is why
@@ -78,6 +79,7 @@ class LiveEvidence(Evidence):
     def __init__(self, hypersec):
         self.hypersec = hypersec
         self.platform = hypersec.platform
+        self.memory = self.platform.memory
         config = self.platform.config
         self.geometry = Geometry(
             dram_base=config.dram_base,
@@ -85,13 +87,6 @@ class LiveEvidence(Evidence):
             secure_base=self.platform.secure_base,
             secure_limit=self.platform.secure_limit,
         )
-
-    # -- raw access ----------------------------------------------------
-    def peek(self, paddr: int) -> int:
-        return self.platform.bus.peek(paddr)
-
-    def backed(self, paddr: int) -> bool:
-        return self.platform.memory.contains(paddr)
 
     def reg(self, name: str) -> int:
         return self.hypersec.cpu.regs.read(name)
@@ -113,7 +108,7 @@ class LiveEvidence(Evidence):
         linear = self.hypersec.kernel.linear_map
         try:
             desc_addr, _level = linear.leaf_desc_addr(paddr)
-            return Descriptor(self.platform.bus.peek(desc_addr))
+            return Descriptor(self.peek(desc_addr))
         except (AllocationError, MemoryRangeError):
             return None
 
@@ -166,7 +161,10 @@ class HypersecAuditor:
         self.stats.add("audits")
         report = run_invariants(LiveEvidence(self.hypersec))
         # A modest flat cost: real audits would be periodic EL2 work.
-        # (The walk itself uses backdoor reads: the auditor is EL2
-        # software and charges per-audit, not per-access.)
+        # The walk itself uses untimed backdoor reads (the auditor is
+        # EL2 software and charges per audit, not per access), so the
+        # simulated charge depends only on the leaves checked, never on
+        # how the host reads memory.  Host time follows the table pages
+        # read plus the non-zero bitmap words scanned.
         self.hypersec.cpu.compute(200 + report.leaves_checked // 4)
         return report

@@ -40,6 +40,10 @@ _CHUNK_MASK = _CHUNK_BYTES - 1
 
 _ZERO_CHUNK = bytes(_CHUNK_BYTES)
 
+#: Granule of the all-zero test in ``nonzero_words``: a block that
+#: compares equal to zeros is skipped without unpacking its words.
+_SCAN_BLOCK_BYTES = 512
+
 
 class PhysicalMemory:
     """Word-addressable sparse backing store with range checking."""
@@ -224,6 +228,48 @@ class PhysicalMemory:
                 self.read_word(addr) for addr in range(span_end, end, WORD_BYTES)
             )
         return values
+
+    def nonzero_words(self, paddr: int,
+                      nwords: int) -> List[Tuple[int, int]]:
+        """``(addr, value)`` for each non-zero word of the ``nwords``-word
+        run at ``paddr``, in ascending address order.
+
+        Absent chunks and all-zero blocks are skipped without unpacking,
+        so the cost follows the populated part of the run, not its
+        length.  Raises :class:`MemoryRangeError` if any word of the run
+        is unbacked, as a per-word read of that word would.
+        """
+        found: List[Tuple[int, int]] = []
+        if nwords <= 0:
+            return found
+        require_aligned(paddr, WORD_BYTES)
+        end = paddr + nwords * WORD_BYTES
+        addr = paddr
+        while addr < end:  # one pass per installed range the run crosses
+            chunks = self._locate(addr)  # raises at an unbacked gap
+            base = self._last_base
+            stop = min(end, self._last_limit)
+            first, limit = addr - base, stop - base
+            addr = stop
+            for key in range(first >> _CHUNK_SHIFT,
+                             ((limit - 1) >> _CHUNK_SHIFT) + 1):
+                chunk = chunks.get(key)
+                if chunk is None:
+                    continue
+                chunk_off = key << _CHUNK_SHIFT
+                low = max(first, chunk_off) - chunk_off
+                high = min(limit, chunk_off + _CHUNK_BYTES) - chunk_off
+                for block in range(low, high, _SCAN_BLOCK_BYTES):
+                    size = min(_SCAN_BLOCK_BYTES, high - block)
+                    if chunk[block:block + size] == _ZERO_CHUNK[:size]:
+                        continue
+                    block_addr = base + chunk_off + block
+                    words = struct.unpack_from(
+                        f"<{size // WORD_BYTES}Q", chunk, block)
+                    found.extend(
+                        (block_addr + index * WORD_BYTES, value)
+                        for index, value in enumerate(words) if value)
+        return found
 
     def _read_span(self, chunks: Dict[int, bytearray], offset: int,
                    nwords: int) -> bytes:

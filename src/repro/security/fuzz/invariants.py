@@ -41,6 +41,7 @@ truncation is visibly not a full proof.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -52,14 +53,15 @@ from typing import (
     Tuple,
 )
 
-from repro.config import PAGE_BYTES, WORD_BYTES
-from repro.arch.pagetable import Descriptor, LEVEL_SPAN
+from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
+from repro.arch.pagetable import DESC_VALID, Descriptor, LEVEL_SPAN
+from repro.hw.memory import PhysicalMemory
 
 #: Invariant name for table-graph well-formedness findings.
 TABLE_TOPOLOGY = "TABLE_TOPOLOGY"
 
-# Cap the per-leaf page scan: 2 MB blocks dominate; 1 GB leaves do not
-# occur in these kernels.
+# Cap the span the alias check searches per leaf: 2 MB blocks dominate;
+# 1 GB leaves do not occur in these kernels.
 _SCAN_CAP = 2 << 20
 
 _PAGE_MASK = PAGE_BYTES - 1
@@ -159,9 +161,32 @@ class LeafInvariant:
             geometry, 0, level, desc, table_pages))
 
 
-def _pages(base: int, end: int) -> Iterator[int]:
-    for page in range(base, min(end, base + _SCAN_CAP), PAGE_BYTES):
-        yield page
+class TablePages(frozenset):
+    """A table-page set plus a sorted copy of it for range queries.
+
+    ``run_invariants`` builds one per audit, so the alias check bisects
+    to the registered tables inside a leaf's span instead of probing
+    every page of a 2 MB block.  A plain set passed to a predicate is
+    wrapped on demand.
+    """
+
+    def __init__(self, pages=()):
+        self.ordered: List[int] = sorted(self)
+
+    @classmethod
+    def of(cls, pages: Set[int]) -> "TablePages":
+        return pages if isinstance(pages, cls) else cls(pages)
+
+    def within(self, base: int, end: int) -> List[int]:
+        """Members in ``[base, end)`` on ``base``'s page grid, ascending."""
+        ordered = self.ordered
+        first = bisect_left(ordered, base)
+        if first == len(ordered) or ordered[first] >= end:
+            return []  # the common case: no table page in the span
+        return [
+            page for page in ordered[first:bisect_left(ordered, end, first)]
+            if not (page - base) & _PAGE_MASK
+        ]
 
 
 def _no_secure_mapping(geometry, desc_addr, level, desc, table_pages):
@@ -174,9 +199,9 @@ def _no_writable_table_alias(geometry, desc_addr, level, desc, table_pages):
     if not desc.writable:
         return
     base = desc.address
-    for page in _pages(base, base + LEVEL_SPAN[level]):
-        if page in table_pages:
-            yield desc_addr, f"writable mapping of table page {page:#x}"
+    end = min(base + LEVEL_SPAN[level], base + _SCAN_CAP)
+    for page in TablePages.of(table_pages).within(base, end):
+        yield desc_addr, f"writable mapping of table page {page:#x}"
 
 
 def _w_xor_x(geometry, desc_addr, level, desc, table_pages):
@@ -228,17 +253,34 @@ class Evidence:
     Optional hooks return ``None``/empty to disable the corresponding
     check, mirroring the historical auditor's guards for systems without
     a kernel or MBM.
+
+    Raw reads all go to one :class:`~repro.hw.memory.PhysicalMemory`
+    (the live platform's or the snapshot's rebuilt image): the engine
+    reads table pages whole and scans only the non-zero bitmap words,
+    so an audit costs host time in proportion to the table pages and
+    populated bitmap words, not to the size of DRAM.
     """
 
     geometry: Geometry
+    memory: PhysicalMemory
 
     # -- raw access ----------------------------------------------------
     def peek(self, paddr: int) -> int:
-        raise NotImplementedError
+        return self.memory.read_word(paddr)
+
+    def read_page(self, paddr: int) -> List[int]:
+        """The ``PAGE_WORDS`` words of the page at ``paddr``."""
+        return self.memory.read_words(paddr, PAGE_WORDS)
+
+    def nonzero_words(self, base: int, limit: int) -> List[Tuple[int, int]]:
+        """``(addr, value)`` for the non-zero words in ``[base, limit)``,
+        ascending; raises if any word of the span is unbacked."""
+        return self.memory.nonzero_words(
+            base, -(-(limit - base) // WORD_BYTES))
 
     def backed(self, paddr: int) -> bool:
         """Is ``paddr`` inside backed physical memory?"""
-        raise NotImplementedError
+        return self.memory.contains(paddr)
 
     def reg(self, name: str) -> int:
         raise NotImplementedError
@@ -318,11 +360,11 @@ def walk_tree(evidence: Evidence, root: int,
             report.truncated_walks += 1
             continue
         seen.add(table)
-        for index in range(PAGE_BYTES // WORD_BYTES):
-            desc_addr = table + index * WORD_BYTES
-            desc = Descriptor(evidence.peek(desc_addr))
-            if not desc.valid:
+        for index, raw in enumerate(evidence.read_page(table)):
+            if not raw & DESC_VALID:
                 continue
+            desc_addr = table + index * WORD_BYTES
+            desc = Descriptor(raw)
             if level < 3 and desc.is_table:
                 child = desc.address
                 if not (evidence.backed(child)
@@ -350,7 +392,7 @@ def run_invariants(evidence: Evidence) -> InvariantReport:
     """Run every invariant check against ``evidence``."""
     report = InvariantReport()
     _check_ttbrs(evidence, report)
-    table_pages = evidence.table_pages()
+    table_pages = TablePages(evidence.table_pages())
     reached: Set[int] = set()
     for root in evidence.roots():
         seen, leaves = walk_tree(evidence, root, report)
@@ -390,10 +432,10 @@ def _check_ttbrs(evidence: Evidence, report: InvariantReport) -> None:
 
 
 def _check_tables_read_only(evidence: Evidence, report: InvariantReport,
-                            table_pages: Set[int]) -> None:
+                            table_pages: TablePages) -> None:
     if not evidence.has_linear_view():
         return
-    for table in sorted(table_pages):
+    for table in table_pages.ordered:
         leaf = evidence.linear_leaf(table)
         if leaf is None:
             report.add(TABLE_TOPOLOGY, table,
@@ -418,14 +460,26 @@ def _check_monitored_pages(evidence: Evidence,
 
 
 def _check_bitmap(evidence: Evidence, report: InvariantReport) -> None:
-    """The bitmap must equal the union of registered regions."""
+    """The bitmap must equal the union of registered regions.
+
+    A word that is zero both in memory and in ``expected`` can neither
+    differ nor count as checked, so only the union of the non-zero
+    stored words and the expected words inside the storage is visited,
+    in address order.
+    """
     expected = evidence.expected_bitmap()
     storage = evidence.bitmap_storage()
     if expected is None or storage is None:
         return
     bitmap_base, bitmap_limit = storage
-    for word_addr in range(bitmap_base, bitmap_limit, WORD_BYTES):
-        actual = evidence.peek(word_addr)
+    stored = dict(evidence.nonzero_words(bitmap_base, bitmap_limit))
+    visit = set(stored)
+    visit.update(
+        word_addr for word_addr in expected
+        if bitmap_base <= word_addr < bitmap_limit
+        and not (word_addr - bitmap_base) % WORD_BYTES)
+    for word_addr in sorted(visit):
+        actual = stored.get(word_addr, 0)
         wanted = expected.get(word_addr, 0)
         if actual != wanted:
             report.add(

@@ -212,10 +212,8 @@ class FuzzContext:
         return self.kernel.cpu.hvc(func, *args)
 
     def table_is_empty(self, table: int) -> bool:
-        return all(
-            self.bus.peek(table + index * WORD_BYTES) == 0
-            for index in range(PAGE_WORDS)
-        )
+        memory = self.system.platform.memory
+        return not any(memory.read_words(table, PAGE_WORDS))
 
     def pick(self, pool, index: int):
         """Deterministic modular pick from a pool (None when empty)."""

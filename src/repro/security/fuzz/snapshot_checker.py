@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.config import PAGE_BYTES, PAGE_WORDS, WORD_BYTES
+from repro.config import PAGE_BYTES, WORD_BYTES
 from repro.errors import SnapshotError
 from repro.hw.memory import PhysicalMemory
 from repro.arch.pagetable import Descriptor, index_for_level
@@ -68,10 +68,10 @@ class SnapshotEvidence(Evidence):
             secure_limit=dram_limit,
         )
         memory_state = snapshot.section("memory")
-        self._memory = PhysicalMemory()
+        self.memory = PhysicalMemory()
         for base, limit in memory_state["ranges"]:
-            self._memory.add_range(int(base), int(limit) - int(base))
-        self._memory.load_state(memory_state)
+            self.memory.add_range(int(base), int(limit) - int(base))
+        self.memory.load_state(memory_state)
         self._regs = {
             str(name): int(value)
             for name, value in snapshot.section("cpu")["regs"].items()
@@ -95,12 +95,6 @@ class SnapshotEvidence(Evidence):
         self._monitored: Optional[Set[int]] = None
 
     # -- raw access ----------------------------------------------------
-    def peek(self, paddr: int) -> int:
-        return self._memory.read_word(paddr)
-
-    def backed(self, paddr: int) -> bool:
-        return self._memory.contains(paddr)
-
     def reg(self, name: str) -> int:
         return self._regs[name]
 
@@ -143,10 +137,7 @@ class SnapshotEvidence(Evidence):
         if not (self.backed(table)
                 and self.backed(table + PAGE_BYTES - WORD_BYTES)):
             return False
-        return all(
-            self.peek(table + index * WORD_BYTES) == 0
-            for index in range(PAGE_WORDS)
-        )
+        return not any(self.read_page(table))
 
     # -- linear-map view ----------------------------------------------
     def has_linear_view(self) -> bool:
@@ -188,8 +179,7 @@ class SnapshotEvidence(Evidence):
             storage = self.bitmap_storage()
             if storage is not None:
                 base, limit = storage
-                for word_addr in range(base, limit, WORD_BYTES):
-                    raw = self.peek(word_addr)
+                for word_addr, raw in self.nonzero_words(base, limit):
                     while raw:
                         bit = (raw & -raw).bit_length() - 1
                         raw &= raw - 1

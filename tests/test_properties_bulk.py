@@ -1,22 +1,34 @@
 """Property tests: vectorized bulk memory paths vs word-at-a-time models.
 
-ISSUE 7's bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
-``read_words``, ``Caches.touch_block``'s batched streaming-store loop,
-``MemoryBus.write_block``'s coalesced bitmap scan) are pure
-optimizations: each must be observationally identical to the
-word-at-a-time (or line-at-a-time) reference it replaced — same bytes,
-same cycle charges, same bus-snoop events.  These properties drive
-randomized op sequences through both and compare everything, with the
-generators biased toward the edges that historically break such code:
-chunk boundaries, cache-line boundaries, range ends and monitored
-pages.
+The bulk fast paths (``PhysicalMemory.fill``/``copy_words``/
+``read_words``/``nonzero_words``, ``Caches.touch_block``'s batched
+streaming-store loop, ``MemoryBus.write_block``'s coalesced bitmap
+scan, the table-alias bisect) are pure optimizations: each must be
+observationally identical to the word-at-a-time (or line-at-a-time)
+reference it replaced — same bytes, same cycle charges, same bus-snoop
+events.  These properties drive randomized op sequences through both
+and compare everything, with the generators biased toward the edges
+that historically break such code: chunk boundaries, cache-line
+boundaries, range ends and monitored pages.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.arch.pagetable import (
+    LEVEL_SPAN,
+    Descriptor,
+    make_block_desc,
+    make_page_desc,
+)
+from repro.errors import MemoryRangeError
 from repro.hw.memory import _CHUNK_BYTES, PhysicalMemory
+from repro.security.fuzz.invariants import (
+    _SCAN_CAP,
+    NO_WRITABLE_TABLE_ALIAS,
+    TablePages,
+)
 from tests.helpers import small_platform
 
 WORD = 8
@@ -124,6 +136,123 @@ class TestPhysicalMemoryBulkOps:
         mem.fill(BASE, WINDOW_WORDS, 0)
         assert mem._chunk_maps == [{}, {}]
         assert mem.read_words(BASE, 4) == [0, 0, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# PhysicalMemory.nonzero_words vs a per-word read_word filter
+# ----------------------------------------------------------------------
+def _apply_mem_ops(mem, ops):
+    for op in ops:
+        if op[0] == "fill":
+            _, off, n, value = op
+            mem.fill(BASE + off * WORD, min(n, WINDOW_WORDS - off), value)
+        elif op[0] == "copy":
+            _, src, dst, n = op
+            n = min(n, WINDOW_WORDS - src, WINDOW_WORDS - dst)
+            if n > 0 and abs(src - dst) >= n:
+                mem.copy_words(BASE + src * WORD, BASE + dst * WORD, n)
+        else:
+            mem.write_word(BASE + op[1] * WORD, op[2])
+
+
+def _nonzero_reference(mem, paddr, nwords):
+    """Per-word model: ``None`` when some word of the span is unbacked."""
+    found = []
+    for i in range(nwords):
+        try:
+            value = mem.read_word(paddr + i * WORD)
+        except MemoryRangeError:
+            return None
+        if value:
+            found.append((paddr + i * WORD, value))
+    return found
+
+
+#: Span starts a few words either side of the backed window, so some
+#: spans begin or end in unbacked memory.
+_span_offsets = st.one_of(
+    _edge_offsets,
+    st.integers(-4, -1),
+    st.integers(WINDOW_WORDS - 4, WINDOW_WORDS + 4),
+)
+
+
+class TestNonzeroWords:
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_mem_ops, st.lists(
+        st.tuples(_span_offsets, st.integers(1, 3 * CHUNK_WORDS)),
+        min_size=1, max_size=4))
+    def test_matches_per_word_filter(self, ops, spans):
+        mem = _dual_memory()
+        _apply_mem_ops(mem, ops)
+        for off, nwords in spans:
+            paddr = BASE + off * WORD
+            expected = _nonzero_reference(mem, paddr, nwords)
+            if expected is None:
+                with pytest.raises(MemoryRangeError):
+                    mem.nonzero_words(paddr, nwords)
+            else:
+                assert mem.nonzero_words(paddr, nwords) == expected
+
+    def test_absent_chunks_stay_absent(self):
+        mem = _dual_memory()
+        mem.write_word(BASE + RANGE_BYTES + 8, 7)
+        assert mem.nonzero_words(BASE, WINDOW_WORDS) == [
+            (BASE + RANGE_BYTES + 8, 7)]
+        assert [len(chunks) for chunks in mem._chunk_maps] == [0, 1]
+
+    def test_chunk_zeroed_after_write(self):
+        mem = _dual_memory()
+        mem.write_word(BASE + _CHUNK_BYTES - WORD, 1)
+        mem.fill(BASE, CHUNK_WORDS, 0)
+        assert mem._chunk_maps[0]  # materialized, now all zero
+        assert mem.nonzero_words(BASE, WINDOW_WORDS) == []
+
+    def test_unbacked_span_raises_before_any_result(self):
+        mem = _dual_memory()
+        mem.write_word(BASE, 1)
+        with pytest.raises(MemoryRangeError):
+            mem.nonzero_words(BASE, WINDOW_WORDS + 1)
+
+
+# ----------------------------------------------------------------------
+# NO_WRITABLE_TABLE_ALIAS: bisect over table pages vs per-page probe
+# ----------------------------------------------------------------------
+_SPAN_PAGES = 512  # a 2 MB block
+
+
+class TestTableAliasBisect:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sets(st.integers(-8, 2 * _SPAN_PAGES), max_size=24),
+        st.sets(st.integers(0, 2 * _SPAN_PAGES * 4096 // WORD), max_size=4),
+        st.integers(0, _SPAN_PAGES),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_findings_match_page_probe(self, pages, strays, first, level):
+        page = 4096
+        # Aligned table pages plus a few off-grid addresses, which a
+        # per-page probe can never hit.
+        table_pages = {BASE + p * page for p in pages}
+        table_pages |= {BASE + s * WORD for s in strays}
+        base = BASE + first * page
+        if level < 3:
+            # Block leaves; a level-1 span is capped at _SCAN_CAP.
+            base &= ~(LEVEL_SPAN[level] - 1)
+            desc = Descriptor(make_block_desc(base, writable=True))
+        else:
+            desc = Descriptor(make_page_desc(base, writable=True))
+        end = min(base + LEVEL_SPAN[level], base + _SCAN_CAP)
+        probed = [
+            (0x40, f"writable mapping of table page {addr:#x}")
+            for addr in range(base, end, page) if addr in table_pages
+        ]
+        for given_pages in (table_pages, TablePages(table_pages)):
+            assert list(NO_WRITABLE_TABLE_ALIAS.violations(
+                None, 0x40, level, desc, given_pages)) == probed
 
 
 # ----------------------------------------------------------------------
